@@ -9,10 +9,13 @@ output scan producing one row per group (γ_agg).  Lineage:
   group-id column the build phase computes — reuse principle P4: the
   structure built for normal execution doubles as the forward index.
 
-Inject builds the backward index's buckets during execution with growable
+Inject reuses the aggregation's own group layout as the backward index:
+the rows' stable bucket order by group id (a linear-time radix sort,
+:func:`~repro.lineage.indexes.bucket_order`) plus per-group offsets.
+With ``emulate_tuple_appends`` it instead builds the buckets with growable
 rid vectors (10 / 1.5x policy; per-group cardinality hints pre-allocate —
-Smoke-I-TC).  Defer instead pins the group-id column and returns a thunk;
-finalization later performs one exact-allocation counting sort and never
+Smoke-I-TC).  Defer pins the group-id column and returns a thunk;
+finalization later performs one exact-allocation bucket order and never
 resizes (paper: reuse the pinned hash table during user think time).
 """
 
@@ -24,11 +27,11 @@ import numpy as np
 
 from ...expr.ast import evaluate
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
-from ...lineage.indexes import GrowableRidIndex, RidArray, RidIndex
+from ...lineage.indexes import RidArray, RidIndex, inject_inverted_index
 from ...plan.logical import GroupBy
 from ...storage.table import Schema, Table
 from .. import morsel
-from .kernels import GroupLayout, chunk_ranges, compute_aggregate, factorize
+from .kernels import GroupLayout, compute_aggregate, factorize
 
 
 def build_groups(
@@ -69,19 +72,7 @@ def inject_backward_index(
     Returns the finished index and the number of bucket resizes incurred
     (zero when exact capacities were provided — the Smoke-I-TC effect).
     """
-    growable = GrowableRidIndex(num_groups, capacities)
-    for lo, hi in chunk_ranges(group_ids.shape[0], chunk_size):
-        chunk = group_ids[lo:hi]
-        order = np.argsort(chunk, kind="stable")
-        sorted_ids = chunk[order]
-        boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_ids.shape[0]]))
-        for s, e in zip(starts, ends, strict=True):
-            if s == e:
-                continue
-            growable.extend(int(sorted_ids[s]), order[s:e] + lo)
-    return growable.finalize(), growable.total_resizes
+    return inject_inverted_index(group_ids, num_groups, chunk_size, capacities)
 
 
 def execute_groupby(
@@ -205,12 +196,16 @@ def _filter_backward(entry, kept: np.ndarray):
     if entry is None:
         return None
     if callable(entry):
-        def thunk(entry=entry, kept=kept) -> RidIndex:
-            full = entry()
-            return RidIndex.from_buckets([full.lookup(int(g)) for g in kept])
+        return lambda entry=entry, kept=kept: _keep_groups(entry(), kept)
+    return _keep_groups(entry, kept)
 
-        return thunk
-    return RidIndex.from_buckets([entry.lookup(int(g)) for g in kept])
+
+def _keep_groups(full: RidIndex, kept: np.ndarray) -> RidIndex:
+    """The buckets of ``kept`` groups, in ``kept`` order."""
+    offsets = np.empty(kept.shape[0] + 1, dtype=np.int64)
+    offsets[0] = 0
+    np.cumsum(full.counts()[kept], out=offsets[1:])
+    return RidIndex(offsets, full.lookup_many(kept))
 
 
 def _filter_forward(entry, keep_mask: np.ndarray, kept: np.ndarray):

@@ -28,14 +28,15 @@ from ...errors import PlanError
 from ...lineage.capture import CaptureConfig, CaptureMode, IndexOrThunk
 from ...lineage.indexes import (
     NO_MATCH,
-    GrowableRidIndex,
     RidArray,
     RidIndex,
+    bucket_order,
+    inject_inverted_index,
     invert_rid_array,
 )
 from ...storage.table import Table
 from .. import morsel
-from .kernels import chunk_ranges, factorize
+from .kernels import factorize
 
 
 class JoinMatches:
@@ -220,8 +221,9 @@ def compute_matches_oriented(
     (:func:`contiguous_forward_right` relies on that contiguity), and
     the plan-equivalence harnesses all assume it.  A swapped probe emits
     left-row-major order, so its matches are restored with one stable
-    sort by right row: within one right row, left matches then appear in
-    input order, i.e. ascending — exactly the canonical bucket order.
+    bucket order by right row (:func:`bucket_order`, linear time):
+    within one right row, left matches then appear in input order, i.e.
+    ascending — exactly the canonical bucket order.
 
     ``build_pkfk=True`` uses the pk-fk probe (position array instead of
     CSR buckets, paper Section 3.2.4) and requires the build side's keys
@@ -238,7 +240,7 @@ def compute_matches_oriented(
     swapped = probe(right_ids, left_ids, num_keys, num_right, workers, counter)
     out_left = swapped.out_right  # probe side rows == canonical left
     out_right = swapped.out_left  # build side rows == canonical right
-    order = np.argsort(out_right, kind="stable")
+    order = bucket_order(out_right, num_right)
     return JoinMatches(out_left[order], out_right[order], num_left, num_right)
 
 
@@ -254,19 +256,7 @@ def inject_forward_index(
     resize-prone structure the m:n experiments stress; ``capacities``
     reproduces the Smoke-I-TC variant.
     """
-    growable = GrowableRidIndex(num_keys, capacities)
-    for lo, hi in chunk_ranges(targets.shape[0], chunk_size):
-        chunk = targets[lo:hi]
-        order = np.argsort(chunk, kind="stable")
-        sorted_ids = chunk[order]
-        boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [sorted_ids.shape[0]]))
-        for s, e in zip(starts, ends, strict=True):
-            if s == e:
-                continue
-            growable.extend(int(sorted_ids[s]), order[s:e] + lo)
-    return growable.finalize(), growable.total_resizes
+    return inject_inverted_index(targets, num_keys, chunk_size, capacities)
 
 
 def contiguous_forward_right(matches: JoinMatches) -> RidIndex:

@@ -20,6 +20,7 @@ import numpy as np
 
 from ...errors import PlanError
 from ...expr.ast import evaluate
+from ...lineage.indexes import bucket_order
 from ...plan.logical import AggCall
 from ...storage.table import Table
 from .. import morsel
@@ -150,12 +151,14 @@ def _codes_for(arr: np.ndarray) -> Tuple[np.ndarray, int]:
 class GroupLayout:
     """Sorted layout of rows by group: the substrate for exact aggregation.
 
-    ``order`` is a stable argsort of the group ids; ``offsets`` delimit each
-    group's segment.  Shared by all aggregates of one GROUP BY so the sort
-    happens once (this is also precisely the backward rid index layout —
-    the reuse principle P4 at work).  The sort is deferred until an
-    aggregate (or the backward-index reuse path) actually needs member
-    order: COUNT-style aggregation reads only ``counts()``, so the
+    ``order`` is the stable bucket order of the group ids (row rids
+    grouped by id, ascending within each group), built by the linear-time
+    radix kernel :func:`~repro.lineage.indexes.bucket_order`; ``offsets``
+    delimit each group's segment.  Shared by all aggregates of one GROUP
+    BY so the sort happens once (this is also precisely the backward rid
+    index layout — the reuse principle P4 at work).  The sort is deferred
+    until an aggregate (or the backward-index reuse path) actually needs
+    member order: COUNT-style aggregation reads only ``counts()``, so the
     crossfilter re-aggregation shape never sorts at all.
     """
 
@@ -173,7 +176,7 @@ class GroupLayout:
         self._order = None
         # Morsel-parallel when workers > 1: per-morsel int64 partials
         # summed at the merge — exact, so offsets are bit-identical to
-        # serial.  The deferred argsort in `order` stays serial.
+        # serial.  The deferred bucket order in `order` stays serial.
         counts = morsel.bincount(group_ids, num_groups, workers, counter)
         self.offsets = np.empty(num_groups + 1, dtype=np.int64)
         self.offsets[0] = 0
@@ -182,7 +185,7 @@ class GroupLayout:
     @property
     def order(self) -> np.ndarray:
         if self._order is None:
-            self._order = np.argsort(self.group_ids, kind="stable").astype(np.int64)
+            self._order = bucket_order(self.group_ids, self.num_groups)
         return self._order
 
     def counts(self) -> np.ndarray:

@@ -39,6 +39,60 @@ def _as_rids(rids) -> np.ndarray:
     return arr
 
 
+def bucket_order(ids, num_buckets: int) -> np.ndarray:
+    """The stable bucket order of dense ids: exactly
+    ``np.argsort(ids, kind="stable")`` for ids in ``[0, num_buckets)``,
+    computed in O(n).
+
+    This is the one kernel behind every stable grouping by a dense,
+    bounded id (group-by layouts, index inversion, join-output
+    reordering).  numpy sorts integers of 16 bits or fewer with a stable
+    radix sort, so ids are narrowed to the smallest unsigned dtype that
+    holds the largest id present: one ``uint8`` or ``uint16`` pass, two
+    LSD passes (low 16-bit digit, then high digit) below 2^32, and
+    the int64 comparison sort only beyond that.  Negative or
+    out-of-range ids raise :class:`LineageError` rather than wrap in the
+    narrowing cast.
+    """
+    ids = _as_rids(ids)
+    return _radix_argsort(ids, _max_bucket_id(ids, num_buckets))
+
+
+def _max_bucket_id(ids: np.ndarray, num_buckets: int) -> int:
+    """The largest of ``ids`` (-1 when empty), after checking that every
+    id lies in ``[0, num_buckets)``."""
+    if ids.size == 0:
+        return -1
+    lo = int(ids.min())
+    hi = int(ids.max())
+    if lo < 0 or hi >= num_buckets:
+        raise LineageError(
+            f"bucket ids out of range [0, {num_buckets}): min={lo} max={hi}"
+        )
+    return hi
+
+
+def _radix_argsort(ids: np.ndarray, hi: int) -> np.ndarray:
+    """Stable int64 argsort of non-negative ``ids`` whose maximum is ``hi``."""
+    if hi >= 1 << 32:
+        return np.argsort(ids, kind="stable").astype(np.int64, copy=False)
+    if hi < 1 << 16:
+        order = np.argsort(ids.astype(_digit_dtype(hi)), kind="stable")
+    else:
+        # LSD: order by the low 16 bits (the narrowing cast keeps exactly
+        # those), then stably by the high digit, so ties keep low-digit,
+        # then input, order.
+        low = np.argsort(ids.astype(np.uint16), kind="stable")
+        high = (ids >> 16).astype(_digit_dtype(hi >> 16))[low]
+        order = low[np.argsort(high, kind="stable")]
+    return order.astype(np.int64, copy=False)
+
+
+def _digit_dtype(hi: int) -> type:
+    """The narrowest unsigned dtype holding ``0 .. hi`` (``hi < 2**16``)."""
+    return np.uint8 if hi < 1 << 8 else np.uint16
+
+
 def _values_distinct(values: np.ndarray) -> bool:
     """Whether no rid appears twice in ``values`` (across all buckets).
 
@@ -169,28 +223,21 @@ class RidIndex:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_group_ids(
-        cls,
-        group_ids: np.ndarray,
-        num_groups: int,
-        counts: Optional[np.ndarray] = None,
-    ) -> "RidIndex":
+    def from_group_ids(cls, group_ids: np.ndarray, num_groups: int) -> "RidIndex":
         """Build ``group -> member rids`` from a dense group-id column.
 
-        This is the Defer construction: cardinalities (``counts``) are known
-        (or computed in one vectorized pass), the CSR arrays are allocated
-        exactly once, and buckets are filled with a stable counting sort —
-        no resizing ever happens.
+        This is the Defer construction: cardinalities are computed in one
+        vectorized pass, the CSR arrays are allocated exactly once, and
+        buckets are filled by :func:`bucket_order` — a linear-time stable
+        radix sort by group id — so no resizing ever happens.
         """
         group_ids = _as_rids(group_ids)
-        if counts is None:
-            counts = np.bincount(group_ids, minlength=num_groups)
+        # The stable bucket order lays member rids out bucket-by-bucket in
+        # original order; counts (exact, from the same ids) delimit buckets.
+        values = bucket_order(group_ids, num_groups)
         offsets = np.empty(num_groups + 1, dtype=np.int64)
         offsets[0] = 0
-        np.cumsum(np.asarray(counts, dtype=np.int64), out=offsets[1:])
-        # A stable sort by group id lays member rids out bucket-by-bucket in
-        # original order; counts (exact, from the same ids) delimit buckets.
-        values = np.argsort(group_ids, kind="stable").astype(np.int64)
+        np.cumsum(np.bincount(group_ids, minlength=num_groups), out=offsets[1:])
         index = cls(offsets, values)
         index._inverse_of = group_ids
         # An argsort is a permutation: every member rid lands in exactly
@@ -345,6 +392,35 @@ class GrowableRidIndex:
         )
 
 
+def inject_inverted_index(
+    targets: np.ndarray,
+    num_keys: int,
+    chunk_size: int,
+    capacities: Optional[np.ndarray] = None,
+) -> Tuple[RidIndex, int]:
+    """Invert ``position -> key`` (``targets[k]`` is the key of position
+    ``k``) into ``key -> positions`` with Inject-style growable appends.
+
+    Positions are appended chunk by chunk, each chunk's run for a key in
+    one ``extend``, so buckets grow under the 10 / 1.5x policy exactly as
+    per-tuple appends would.  Returns the finished index and the number
+    of bucket resizes incurred (zero when exact ``capacities`` were
+    provided — the Smoke-I-TC effect).
+    """
+    targets = _as_rids(targets)
+    growable = GrowableRidIndex(num_keys, capacities)
+    for lo in range(0, targets.shape[0], chunk_size):
+        chunk = targets[lo : lo + chunk_size]
+        order = bucket_order(chunk, num_keys)
+        sorted_ids = chunk[order]
+        boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
+        starts = np.concatenate(([0], boundaries))
+        ends = np.concatenate((boundaries, [sorted_ids.shape[0]]))
+        for s, e in zip(starts, ends, strict=True):
+            growable.extend(int(sorted_ids[s]), order[s:e] + lo)
+    return growable.finalize(), growable.total_resizes
+
+
 # -- inversion and composition --------------------------------------------------
 
 
@@ -379,29 +455,32 @@ def invert_rid_array(arr: RidArray, codomain_size: int) -> RidIndex:
     """
     matched = arr.values != NO_MATCH
     sources = np.nonzero(matched)[0].astype(np.int64)
-    targets = arr.values[matched]
-    if targets.size and (targets.min() < 0 or targets.max() >= codomain_size):
-        raise LineageError("rid array values exceed the stated codomain size")
-    counts = np.bincount(targets, minlength=codomain_size)
-    offsets = np.empty(codomain_size + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(targets, kind="stable")
-    return RidIndex(offsets, sources[order])
+    return _invert_edges(sources, arr.values[matched], codomain_size)
 
 
 def invert_rid_index(idx: RidIndex, codomain_size: int) -> RidIndex:
     """Invert a 1-to-N map into ``value rid -> key rids`` (bag-preserving)."""
     keys = np.repeat(np.arange(idx.num_keys, dtype=np.int64), idx.counts())
-    targets = idx.values
-    if targets.size and (targets.min() < 0 or targets.max() >= codomain_size):
-        raise LineageError("rid index values exceed the stated codomain size")
+    return _invert_edges(keys, idx.values, codomain_size)
+
+
+def _invert_edges(
+    sources: np.ndarray, targets: np.ndarray, codomain_size: int
+) -> RidIndex:
+    """``target -> sources`` over the edges ``sources[i] -> targets[i]``,
+    each bucket in edge order."""
+    hi = _max_bucket_id(targets, codomain_size)
     counts = np.bincount(targets, minlength=codomain_size)
     offsets = np.empty(codomain_size + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(targets, kind="stable")
-    return RidIndex(offsets, keys[order])
+    if targets.size and counts.max() <= 1:
+        # Injective (e.g. a pk-fk hop): every bucket holds at most one
+        # source, so each lands at its bucket's start — a scatter, no sort.
+        values = np.empty(targets.shape[0], dtype=np.int64)
+        values[offsets[targets]] = sources
+        return RidIndex(offsets, values)
+    return RidIndex(offsets, sources[_radix_argsort(targets, hi)])
 
 
 def compose(first: LineageIndex, second: LineageIndex) -> LineageIndex:
@@ -417,10 +496,25 @@ def compose(first: LineageIndex, second: LineageIndex) -> LineageIndex:
         out = np.full(first.num_keys, NO_MATCH, dtype=np.int64)
         matched = first.values != NO_MATCH
         mid = first.values[matched]
+        second._check_many(mid)
         out[matched] = second.values[mid]
         return RidArray(out)
 
     f_off, f_val = first.as_csr()
+    if f_val.size and (f_val.min() < 0 or f_val.max() >= second.num_keys):
+        raise LineageError(f"rids out of range [0, {second.num_keys})")
+    single = _single_rids(second)
+    if single is not None:
+        # Every key of ``second`` reaches at most one rid (a pk-fk hop),
+        # so composing is one gather — no per-key bucket concatenation.
+        gathered = single[f_val]
+        matched = gathered != NO_MATCH
+        if matched.all():
+            return RidIndex(f_off, gathered)
+        cum = np.empty(gathered.shape[0] + 1, dtype=np.int64)
+        cum[0] = 0
+        np.cumsum(matched, out=cum[1:])
+        return RidIndex(cum[f_off], gathered[matched])
     s_counts = second.counts()
     edge_counts = s_counts[f_val] if f_val.size else _EMPTY
     # Per-key composed counts: segment-sum of edge counts over first's CSR.
@@ -430,3 +524,18 @@ def compose(first: LineageIndex, second: LineageIndex) -> LineageIndex:
     offsets = cum[f_off]
     values = second.lookup_many(f_val) if f_val.size else _EMPTY
     return RidIndex(offsets, values)
+
+
+def _single_rids(index: LineageIndex) -> Optional[np.ndarray]:
+    """``key -> its one rid`` (NO_MATCH for an empty bucket) when no key
+    of ``index`` reaches more than one rid; ``None`` otherwise."""
+    if isinstance(index, RidArray):
+        return index.values
+    counts = index.counts()
+    if counts.size and counts.max() > 1:
+        return None
+    if index.num_edges == index.num_keys:
+        return index.values
+    values = np.full(index.num_keys, NO_MATCH, dtype=np.int64)
+    values[counts == 1] = index.values
+    return values

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import LineageError
 from ..exec.vector.kernels import factorize
-from ..lineage.indexes import LineageIndex
+from ..lineage.indexes import LineageIndex, bucket_order
 from ..storage.table import Table
 
 
@@ -105,7 +105,7 @@ class PartitionedRidIndex:
         )
         edge_codes = partitioner.codes[values] if values.size else values
         combined = bucket_of_edge * num_codes + edge_codes
-        order = np.argsort(combined, kind="stable")
+        order = bucket_order(combined, self.num_keys * num_codes)
         self.values = values[order]
         cell_counts = np.bincount(combined, minlength=self.num_keys * num_codes)
         self.sub_offsets = np.empty(self.num_keys * num_codes + 1, dtype=np.int64)

@@ -13,6 +13,7 @@ from repro.lineage import (
     invert_rid_array,
     invert_rid_index,
 )
+from repro.lineage.indexes import bucket_order
 
 group_ids = st.integers(min_value=1, max_value=12).flatmap(
     lambda g: st.tuples(
@@ -108,3 +109,38 @@ def test_growable_index_equals_dict_model(pairs):
     idx = growable.finalize()
     for key in range(8):
         assert idx.lookup(key).tolist() == model.get(key, [])
+
+
+#: Bucket counts at and around each radix width boundary: one uint8 pass
+#: (<= 2^8), one uint16 pass (<= 2^16), two LSD passes (<= 2^32), and the
+#: int64 fallback beyond.
+BUCKET_COUNTS = (1, 2, 255, 256, 257, 65535, 65536, 65537, 1 << 20, (1 << 32) + 7)
+
+
+@st.composite
+def bucket_ids(draw):
+    k = draw(st.sampled_from(BUCKET_COUNTS))
+    shape = draw(st.sampled_from(("spread", "one_bucket", "empty")))
+    if shape == "empty":
+        return k, []
+    if shape == "one_bucket":
+        bucket = draw(st.integers(min_value=0, max_value=k - 1))
+        return k, [bucket] * draw(st.integers(min_value=1, max_value=60))
+    # Mix ids near the top of the range (where a narrowing cast would
+    # wrap) with small ones, so buckets repeat and ties are common.
+    ids = st.one_of(
+        st.integers(min_value=0, max_value=k - 1),
+        st.integers(min_value=max(0, k - 3), max_value=k - 1),
+        st.integers(min_value=0, max_value=min(k - 1, 300)),
+    )
+    return k, draw(st.lists(ids, max_size=80))
+
+
+@given(bucket_ids())
+@settings(max_examples=200)
+def test_bucket_order_is_the_stable_argsort(data):
+    k, ids = data
+    ids = np.asarray(ids, dtype=np.int64)
+    order = bucket_order(ids, k)
+    assert order.dtype == np.int64
+    assert np.array_equal(order, np.argsort(ids, kind="stable"))

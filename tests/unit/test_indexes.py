@@ -13,6 +13,7 @@ from repro.lineage import (
     invert_rid_array,
     invert_rid_index,
 )
+from repro.lineage.indexes import bucket_order
 
 
 class TestRidArray:
@@ -249,3 +250,133 @@ class TestIsPartitioned:
     def test_rid_array_shared_target(self):
         arr = RidArray(np.array([3, 3, 0]))
         assert not arr.is_partitioned()
+
+
+# -- reference constructions: the int64 argsort / lookup_many code the
+# bucket_order kernel and the compose gather path replaced ------------------
+
+
+def _csr(counts):
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _ref_from_group_ids(ids, k):
+    return _csr(np.bincount(ids, minlength=k)), np.argsort(ids, kind="stable")
+
+
+def _ref_invert(sources, targets, k):
+    order = np.argsort(targets, kind="stable")
+    return _csr(np.bincount(targets, minlength=k)), sources[order]
+
+
+def _ref_compose(first, second):
+    f_off, f_val = first.as_csr()
+    edge_counts = second.counts()[f_val]
+    cum = np.zeros(edge_counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(edge_counts, out=cum[1:])
+    values = second.lookup_many(f_val) if f_val.size else np.empty(0, np.int64)
+    return cum[f_off], values
+
+
+def _assert_csr(index, ref):
+    assert np.array_equal(index.offsets, ref[0])
+    assert np.array_equal(index.values, ref[1])
+    assert index.values.dtype == np.int64
+
+
+#: (num_buckets, rows): one uint8 pass, one uint16 pass, two LSD passes
+#: (sparse and dense high digit), and the int64 fallback.
+SHAPES = [(7, 500), (256, 2000), (5000, 2000), (70_000, 3000),
+          (3_000_000, 3000), (1 << 40, 200)]
+
+
+class TestBucketOrder:
+    @pytest.mark.parametrize("k,n", SHAPES)
+    def test_equals_stable_argsort(self, k, n, rng):
+        ids = rng.integers(0, k, n)
+        assert np.array_equal(bucket_order(ids, k), np.argsort(ids, kind="stable"))
+
+    def test_rejects_negative_ids(self):
+        with pytest.raises(LineageError, match="out of range"):
+            bucket_order(np.array([0, -1, 2]), 3)
+
+    @pytest.mark.parametrize("k", [3, 256, 65536, 1 << 20])
+    def test_rejects_ids_at_or_beyond_bucket_count(self, k):
+        # k itself would wrap to 0 under a narrowing uint8/uint16 cast.
+        with pytest.raises(LineageError, match="out of range"):
+            bucket_order(np.array([0, k]), k)
+
+    @pytest.mark.parametrize("k,n", SHAPES[:-1])
+    def test_from_group_ids_equals_reference(self, k, n, rng):
+        ids = rng.integers(0, k, n)
+        index = RidIndex.from_group_ids(ids, k)
+        _assert_csr(index, _ref_from_group_ids(ids, k))
+        assert index._inverse_of is not None and index.is_partitioned()
+
+    def test_from_group_ids_rejects_out_of_range(self):
+        with pytest.raises(LineageError):
+            RidIndex.from_group_ids(np.array([0, 4]), 4)
+
+    @pytest.mark.parametrize("k,n", SHAPES[:-1])
+    def test_invert_rid_array_equals_reference(self, k, n, rng):
+        values = rng.integers(0, k, n)
+        values[rng.random(n) < 0.2] = NO_MATCH
+        sources = np.flatnonzero(values != NO_MATCH)
+        _assert_csr(
+            invert_rid_array(RidArray(values), k),
+            _ref_invert(sources, values[sources], k),
+        )
+
+    def test_invert_injective_rid_array_scatters(self, rng):
+        # Every target bucket holds at most one source (the pk-fk shape).
+        values = rng.permutation(5000)[:3000]
+        values[::7] = NO_MATCH
+        sources = np.flatnonzero(values != NO_MATCH)
+        _assert_csr(
+            invert_rid_array(RidArray(values), 5000),
+            _ref_invert(sources, values[sources], 5000),
+        )
+
+    @pytest.mark.parametrize("k,n", SHAPES[:-1])
+    def test_invert_rid_index_equals_reference(self, k, n, rng):
+        index = RidIndex.from_group_ids(rng.integers(0, 50, n), 50)
+        index = RidIndex(index.offsets, rng.integers(0, k, n))
+        keys = np.repeat(np.arange(50), index.counts())
+        _assert_csr(invert_rid_index(index, k), _ref_invert(keys, index.values, k))
+
+    @pytest.mark.parametrize("no_match", [False, True])
+    def test_compose_index_array_gather_equals_reference(self, no_match, rng):
+        first = RidIndex.from_group_ids(rng.integers(0, 40, 3000), 40)
+        values = rng.integers(0, 900, 3000)
+        if no_match:
+            values[rng.random(3000) < 0.3] = NO_MATCH
+        second = RidArray(values)
+        _assert_csr(compose(first, second), _ref_compose(first, second))
+
+    def test_compose_through_single_rid_index_equals_reference(self, rng):
+        # A RidIndex whose buckets hold at most one rid composes by gather
+        # too, whether the first hop is an index or an array.
+        counts = (rng.random(3000) < 0.8).astype(np.int64)
+        second = RidIndex(_csr(counts), rng.integers(0, 900, int(counts.sum())))
+        first = RidIndex.from_group_ids(rng.integers(0, 700, 3000), 700)
+        _assert_csr(compose(first, second), _ref_compose(first, second))
+        arr = RidArray(rng.integers(-1, 3000, 500))
+        _assert_csr(compose(arr, second), _ref_compose(arr, second))
+
+    @pytest.mark.parametrize(
+        "second",
+        [RidArray(np.array([1, 2, 3])),
+         RidIndex.from_buckets([np.array([1, 2]), np.array([3]), np.array([0])])],
+    )
+    @pytest.mark.parametrize("bad", [5, -2])
+    def test_compose_rejects_out_of_range_first_hop(self, second, bad):
+        # Both the gather path and the bucket-concatenating path raise
+        # LineageError, never a bare IndexError or a wrapped gather.
+        first = RidIndex.from_buckets([np.array([0, bad])])
+        with pytest.raises(LineageError):
+            compose(first, second)
+        if isinstance(second, RidArray):
+            with pytest.raises(LineageError):
+                compose(RidArray(np.array([0, bad])), second)

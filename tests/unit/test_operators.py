@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import Database, ExecOptions
 from repro.errors import PlanError
 from repro.exec.vector.groupby import inject_backward_index
 from repro.exec.vector.join import compute_matches, join_lineage_locals
@@ -20,6 +21,7 @@ from repro.plan.logical import (
     ThetaJoin,
     col,
 )
+from repro.storage import Table
 
 
 class TestKernels:
@@ -173,6 +175,34 @@ class TestGroupBy:
         for i in range(len(res.table)):
             rids = res.lineage.backward([i], "zipf")
             assert (table.column("z")[rids] == res.table.column("z")[i]).all()
+
+    @pytest.mark.parametrize("capture", ["inject", "defer", "appends"])
+    def test_having_keeping_thousands_of_groups_matches_compiled(self, capture):
+        rng = np.random.default_rng(13)
+        db = Database()
+        db.create_table("t", Table({"k": rng.integers(0, 8000, 40_000)}))
+        plan = GroupBy(
+            Scan("t"),
+            [(col("k"), "k")],
+            [AggCall("count", None, "c")],
+            having=col("c") > 4,
+        )
+        config = {
+            "inject": CaptureConfig.inject(),
+            "defer": CaptureConfig.defer(),
+            "appends": CaptureConfig.inject(emulate_tuple_appends=True),
+        }[capture]
+        vec = db.execute(plan, options=ExecOptions(capture=config))
+        comp = db.execute(
+            plan, options=ExecOptions(capture=CaptureMode.INJECT, backend="compiled")
+        )
+        assert len(vec.table) > 2000
+        assert vec.table.to_rows() == comp.table.to_rows()
+        for get in ("backward_index", "forward_index"):
+            got = getattr(vec.lineage, get)("t")
+            want = getattr(comp.lineage, get)("t")
+            assert np.array_equal(got.as_csr()[0], want.as_csr()[0]), get
+            assert np.array_equal(got.as_csr()[1], want.as_csr()[1]), get
 
     def test_keyless_aggregate_single_group(self, small_db):
         plan = GroupBy(Scan("zipf"), [], [AggCall("count", None, "c")])
