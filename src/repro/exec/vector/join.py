@@ -130,7 +130,7 @@ def probe_mn(
 ) -> JoinMatches:
     """Probe for a general m:n join; emits every (left, right) key match.
 
-    Build stays serial (one CSR counting sort); the probe side splits
+    Build stays serial (one CSR bucket order); the probe side splits
     into morsels that look up their bucket slices independently.  Bucket
     entries are ascending within each probe row and morsels concatenate
     in probe-row order, so the merged output is the canonical order with
@@ -327,8 +327,9 @@ def join_lineage_locals(
             left_fw = index
         else:
             # Probe-phase cardinalities are known by the time the index
-            # materializes, so Inject allocates exactly (vectorized
-            # counting sort) — the engine-level analogue of Smoke-I-TC.
+            # materializes, so Inject allocates exactly (bincount offsets,
+            # then a scatter or a radix bucket order) — the engine-level
+            # analogue of Smoke-I-TC.
             left_fw = invert_rid_array(
                 RidArray(matches.out_left), matches.num_left
             )

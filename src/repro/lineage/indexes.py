@@ -475,8 +475,9 @@ def _invert_edges(
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
     if targets.size and counts.max() <= 1:
-        # Injective (e.g. a pk-fk hop): every bucket holds at most one
-        # source, so each lands at its bucket's start — a scatter, no sort.
+        # Injective (e.g. the fact side's forward index of a pk-fk join):
+        # every bucket holds at most one source, so each lands at its
+        # bucket's start — a scatter, no sort.
         values = np.empty(targets.shape[0], dtype=np.int64)
         values[offsets[targets]] = sources
         return RidIndex(offsets, values)
@@ -510,6 +511,8 @@ def compose(first: LineageIndex, second: LineageIndex) -> LineageIndex:
         gathered = single[f_val]
         matched = gathered != NO_MATCH
         if matched.all():
+            # Nothing dropped: first's offsets carry over (indexes are
+            # immutable, so sharing the buffer is safe).
             return RidIndex(f_off, gathered)
         cum = np.empty(gathered.shape[0] + 1, dtype=np.int64)
         cum[0] = 0
